@@ -449,6 +449,10 @@ func RunJaccardCtx(ctx context.Context, g GraphStore, opt LCCOptions) (*JaccardR
 // bit-identical to the corresponding one-shot entrypoint.
 type Snapshot = lcc.Snapshot
 
+// SnapshotOptions are a snapshot's distribution and host storage; a
+// ServeConfig embeds them.
+type SnapshotOptions = lcc.SnapshotOptions
+
 // NewSnapshot distributes g over ranks once for repeated querying.
 func NewSnapshot(g GraphStore, ranks int, scheme Scheme, delegateBytes int) (*Snapshot, error) {
 	return lcc.NewSnapshot(g, ranks, scheme, delegateBytes)
@@ -473,8 +477,9 @@ type (
 	ServeResult = serve.QueryResult
 	// ServeSupervisor is the named-instance registry behind cmd/lccd.
 	ServeSupervisor = serve.Supervisor
-	// ServeManifest is the durable record of one loaded instance.
-	ServeManifest = serve.Manifest
+	// ServeLoadSpec is the wire form of one instance's load: the lccd
+	// load body and the durable manifest record alike.
+	ServeLoadSpec = serve.LoadSpec
 	// ServeManifestStore persists instance manifests in a state directory.
 	ServeManifestStore = serve.ManifestStore
 	// ServeQueueTimeoutError carries the measured wait of a run whose

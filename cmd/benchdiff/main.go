@@ -6,9 +6,13 @@
 //
 // Usage:
 //
-//	benchdiff [-dir .] [-max-regress 0.15] [-summary] [old.json new.json]
+//	benchdiff [-dir .] [-max-regress 0.15] [-summary] [[old.json] new.json]
 //
-// With explicit file arguments the directory scan is skipped. ns/op noise
+// With two file arguments the directory scan is skipped. With one, the
+// file is a candidate record (say, this machine's bench.sh output) and is
+// compared against the newest record in -dir of the candidate's own bench
+// mode, so a micro run is never diffed against a serve or scale record.
+// ns/op noise
 // on shared machines is real, so the default threshold is deliberately
 // loose for time and strict for allocations (alloc counts are exact and
 // deterministic; any increase above the slack is a structural regression).
@@ -77,17 +81,20 @@ func main() {
 	flag.Parse()
 
 	var oldPath, newPath string
-	if flag.NArg() == 2 {
+	var err error
+	switch flag.NArg() {
+	case 2:
 		oldPath, newPath = flag.Arg(0), flag.Arg(1)
-	} else if flag.NArg() == 0 {
-		var err error
+	case 1:
+		newPath = flag.Arg(0)
+		oldPath, err = newestOfMode(*dir, newPath)
+	case 0:
 		oldPath, newPath, err = newestPair(*dir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchdiff:", err)
-			os.Exit(2)
-		}
-	} else {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-dir .] [old.json new.json]")
+	default:
+		err = fmt.Errorf("usage: benchdiff [-dir .] [[old.json] new.json]")
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
 	}
 
@@ -227,15 +234,12 @@ func load(path string) (*record, error) {
 
 var benchFile = regexp.MustCompile(`^BENCH_(\d+)\.json$`)
 
-// newestPair returns the two highest-numbered BENCH_<n>.json files in dir
-// that share a bench mode. Records of different modes interleave freely on
-// the trajectory (a serve record can land between two micro records); the
-// scan compares within the mode whose newest record is most recent and has
-// a predecessor, so a first-of-its-mode record never breaks the diff.
-func newestPair(dir string) (old, new string, err error) {
+// records lists dir's BENCH_<n>.json files, highest number (newest)
+// first.
+func records(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return "", "", err
+		return nil, err
 	}
 	var nums []int
 	for _, e := range entries {
@@ -244,14 +248,30 @@ func newestPair(dir string) (old, new string, err error) {
 			nums = append(nums, n)
 		}
 	}
-	if len(nums) < 2 {
-		return "", "", fmt.Errorf("need at least two BENCH_<n>.json records in %s, found %d", dir, len(nums))
+	sort.Sort(sort.Reverse(sort.IntSlice(nums)))
+	paths := make([]string, len(nums))
+	for i, n := range nums {
+		paths[i] = filepath.Join(dir, fmt.Sprintf("BENCH_%d.json", n))
 	}
-	sort.Ints(nums)
+	return paths, nil
+}
+
+// newestPair returns the two highest-numbered BENCH_<n>.json files in dir
+// that share a bench mode. Records of different modes interleave freely on
+// the trajectory (a serve record can land between two micro records); the
+// scan compares within the mode whose newest record is most recent and has
+// a predecessor, so a first-of-its-mode record never breaks the diff.
+func newestPair(dir string) (old, new string, err error) {
+	paths, err := records(dir)
+	if err != nil {
+		return "", "", err
+	}
+	if len(paths) < 2 {
+		return "", "", fmt.Errorf("need at least two BENCH_<n>.json records in %s, found %d", dir, len(paths))
+	}
 	// Newest-first: the first mode seen twice is the pair to diff.
 	latest := map[string]string{} // mode -> newest record path of that mode
-	for i := len(nums) - 1; i >= 0; i-- {
-		path := filepath.Join(dir, fmt.Sprintf("BENCH_%d.json", nums[i]))
+	for _, path := range paths {
 		rec, err := load(path)
 		if err != nil {
 			return "", "", err
@@ -263,4 +283,27 @@ func newestPair(dir string) (old, new string, err error) {
 		latest[mode] = path
 	}
 	return "", "", fmt.Errorf("no two BENCH_<n>.json records in %s share a bench mode", dir)
+}
+
+// newestOfMode returns the highest-numbered BENCH_<n>.json in dir whose
+// bench mode matches the candidate record's.
+func newestOfMode(dir, candidate string) (string, error) {
+	cand, err := load(candidate)
+	if err != nil {
+		return "", err
+	}
+	paths, err := records(dir)
+	if err != nil {
+		return "", err
+	}
+	for _, path := range paths {
+		rec, err := load(path)
+		if err != nil {
+			return "", err
+		}
+		if rec.benchMode() == cand.benchMode() {
+			return path, nil
+		}
+	}
+	return "", fmt.Errorf("no BENCH_<n>.json record in %s has bench mode %q", dir, cand.benchMode())
 }

@@ -96,12 +96,11 @@ func main() {
 		tricnt: async.Triangles, checked: true,
 		notes: fmt.Sprintf("%.0f%% reads remote", 100*async.RemoteReadFraction())})
 
-	cachedOpt := lcc.Options{
-		Ranks: *ranks, Method: intersect.MethodHybrid, DoubleBuffer: true,
-		Caching: true, DegreeScores: true,
-		OffsetsCacheBytes: 16 * (2 * g.NumVertices() / 5),
-		AdjCacheBytes:     64 << 20,
+	cachedOpt, err := lcc.RunSpec{Caching: true, DegreeScores: true}.Options(g.NumVertices())
+	if err != nil {
+		fatal(err)
 	}
+	cachedOpt.Ranks = *ranks
 	cached, err := lcc.Run(g, cachedOpt)
 	if err != nil {
 		fatal(err)

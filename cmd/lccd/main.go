@@ -35,6 +35,15 @@
 //	GET  /v1/ps
 //	GET  /v1/health
 //
+// Each body has one schema. The load body is a serve.LoadSpec — the same
+// record a manifest persists — and the run body embeds lcc.RunSpec, the
+// schema lccrun fills from its flags. Both are validated before anything
+// is built or admitted: an unknown method, engine, scheme or storage
+// name, ranks or workers outside [0, lcc.MaxRanks], or a negative size
+// is a 400 "bad-request" that moves no instance counter. With caching on,
+// an omitted cache size takes the paper sizing lccrun uses: C_offsets
+// 16·⌊2n/5⌋ bytes for an n-vertex graph, C_adj 64 MiB.
+//
 // Typed serve errors map to statuses, and every error body carries a
 // machine-readable "reason" code alongside the message: 429
 // busy/queue-overflow or the server-wide run cap (with Retry-After), 404
@@ -65,10 +74,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/fault"
-	"repro/internal/intersect"
 	"repro/internal/lcc"
-	"repro/internal/part"
 	"repro/internal/sched"
 	"repro/internal/serve"
 )
@@ -238,52 +244,14 @@ func (s *server) serve(ln net.Listener, out io.Writer, drain time.Duration) erro
 	return nil
 }
 
-// loadRequest is the POST /v1/load body.
-type loadRequest struct {
-	Name           string `json:"name"`
-	Dataset        string `json:"dataset"`
-	Ranks          int    `json:"ranks"`
-	Scheme         string `json:"scheme"`
-	DelegateBytes  int    `json:"delegate_bytes"`
-	Storage        string `json:"storage"`
-	MemBudgetBytes int64  `json:"mem_budget_bytes"`
-	MaxConcurrent  int    `json:"max_concurrent"`
-	QueueDepth     int    `json:"queue_depth"`
-	TimeoutMS      int64  `json:"default_timeout_ms"`
-	StallTimeoutMS int64  `json:"stall_timeout_ms"`
-}
-
+// handleLoad serves POST /v1/load: the body is a serve.LoadSpec, the same
+// record the manifest persists, validated before any snapshot is built.
 func (s *server) handleLoad(w http.ResponseWriter, r *http.Request) {
-	var req loadRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	var spec serve.LoadSpec
+	if err := decodeBody(w, r, &spec); err != nil {
 		return
 	}
-	if req.Name == "" || req.Dataset == "" {
-		writeError(w, http.StatusBadRequest, "bad-request", errors.New("load needs name and dataset"))
-		return
-	}
-	scheme, err := part.ParseScheme(req.Scheme)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", err)
-		return
-	}
-	storage, err := lcc.ParseStorageMode(req.Storage)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", err)
-		return
-	}
-	inst, err := s.sup.Load(req.Name, serve.Config{
-		Dataset:        req.Dataset,
-		Ranks:          req.Ranks,
-		Scheme:         scheme,
-		DelegateBytes:  req.DelegateBytes,
-		Storage:        storage,
-		MemBudgetBytes: req.MemBudgetBytes,
-		MaxConcurrent:  req.MaxConcurrent,
-		QueueDepth:     req.QueueDepth,
-		DefaultTimeout: time.Duration(req.TimeoutMS) * time.Millisecond,
-		StallTimeout:   time.Duration(req.StallTimeoutMS) * time.Millisecond,
-	})
+	inst, err := s.sup.Load(spec)
 	if err != nil {
 		writeServeError(w, err)
 		return
@@ -291,23 +259,15 @@ func (s *server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, inst.Info())
 }
 
-// runRequest is the POST /v1/run body. Distribution comes from the
-// instance's snapshot; the query owns method, caching, workers, faults,
-// priority and queue deadline.
+// runRequest is the POST /v1/run body: the query's engine knobs
+// (lcc.RunSpec, validated before admission) plus its serving envelope.
+// Distribution comes from the instance's snapshot.
 type runRequest struct {
-	Instance       string `json:"instance"`
-	Engine         string `json:"engine"`
-	Method         string `json:"method"`
-	Workers        int    `json:"workers"`
-	Caching        bool   `json:"caching"`
-	CacheOffsets   int    `json:"cache_offsets_bytes"`
-	CacheAdj       int    `json:"cache_adj_bytes"`
-	DegreeScores   bool   `json:"degree_scores"`
-	NoOverlap      bool   `json:"no_overlap"`
-	Faults         string `json:"faults"`
-	TimeoutMS      int64  `json:"timeout_ms"`
-	Priority       int    `json:"priority"`
-	QueueTimeoutMS int64  `json:"queue_timeout_ms"`
+	Instance string `json:"instance"`
+	lcc.RunSpec
+	TimeoutMS      int64 `json:"timeout_ms"`
+	Priority       int   `json:"priority"`
+	QueueTimeoutMS int64 `json:"queue_timeout_ms"`
 }
 
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -315,32 +275,8 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if err := decodeBody(w, r, &req); err != nil {
 		return
 	}
-	spec, err := fault.ParseSpec(req.Faults)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", err)
-		return
-	}
-	opt := lcc.Options{
-		Workers:      req.Workers,
-		Method:       parseMethod(req.Method),
-		DoubleBuffer: !req.NoOverlap,
-		Caching:      req.Caching,
-		DegreeScores: req.DegreeScores,
-		Faults:       spec,
-	}
-	if req.Caching {
-		opt.OffsetsCacheBytes = req.CacheOffsets
-		opt.AdjCacheBytes = req.CacheAdj
-		if opt.OffsetsCacheBytes == 0 {
-			opt.OffsetsCacheBytes = 1 << 20
-		}
-		if opt.AdjCacheBytes == 0 {
-			opt.AdjCacheBytes = 64 << 20
-		}
-	}
 	q := serve.Query{
-		Engine:       req.Engine,
-		Options:      opt,
+		Spec:         &req.RunSpec,
 		Priority:     req.Priority,
 		QueueTimeout: time.Duration(req.QueueTimeoutMS) * time.Millisecond,
 	}
@@ -528,19 +464,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, reason string, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error(), Reason: reason})
-}
-
-func parseMethod(s string) intersect.Method {
-	switch s {
-	case "ssi":
-		return intersect.MethodSSI
-	case "binary":
-		return intersect.MethodBinary
-	case "hash":
-		return intersect.MethodHash
-	default:
-		return intersect.MethodHybrid
-	}
 }
 
 // smoke exercises the full service loop in one process — the make

@@ -25,10 +25,8 @@ import (
 	"os"
 	"sort"
 
-	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/intersect"
 	"repro/internal/lcc"
 	"repro/internal/part"
 	"repro/internal/sched"
@@ -60,7 +58,7 @@ func run(args []string, out *os.File) error {
 		directed  = fs.Bool("directed", false, "treat edge-list input as directed")
 		ranks     = fs.Int("ranks", 4, "number of simulated computing nodes")
 		workers   = fs.Int("workers", 0, "host worker goroutines executing simulated ranks (0 = GOMAXPROCS); results are identical at any setting")
-		scheme    = fs.String("scheme", "block", `1D distribution: "block" or "cyclic"`)
+		scheme    = fs.String("scheme", "block", `1D distribution: "block", "cyclic" or "block-arcs"`)
 		method    = fs.String("method", "hybrid", `intersection method: "hybrid", "ssi", "binary", or "hash"`)
 		caching   = fs.Bool("cache", false, "enable CLaMPI RMA caching (C_offsets + C_adj)")
 		offBytes  = fs.Int("cache-offsets", 0, "C_offsets capacity in bytes (0 = paper sizing)")
@@ -79,40 +77,41 @@ func run(args []string, out *os.File) error {
 		return err
 	}
 
-	faultSpec, err := fault.ParseSpec(*faults)
+	// The per-run knobs are lccd's run schema: one validation, one cache
+	// default. The engine names are lccrun's own (lccd runs lcc/jaccard),
+	// so they stay out of the spec. Every name is checked before the graph
+	// is read.
+	spec := lcc.RunSpec{
+		Method: *method, Workers: *workers,
+		Caching: *caching, CacheOffsets: *offBytes, CacheAdj: *adjBytes,
+		DegreeScores: *degScores, NoOverlap: *noOverlap, Faults: *faults,
+	}
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	partScheme, err := part.ParseScheme(*scheme)
 	if err != nil {
-		return fmt.Errorf("-faults: %w", err)
+		return err
+	}
+	switch *engine {
+	case "pull", "push", "replicated":
+	default:
+		return fmt.Errorf("unknown engine %q", *engine)
+	}
+	agg, ok := map[string]lcc.PushAggregation{"batched": lcc.PushBatched, "direct": lcc.PushDirect}[*pushAgg]
+	if !ok {
+		return fmt.Errorf("unknown -push-agg %q", *pushAgg)
 	}
 
 	g, err := loadGraph(*dataset, *in, *format, *directed)
 	if err != nil {
 		return err
 	}
-
-	opt := lcc.Options{
-		Ranks:        *ranks,
-		Workers:      *workers,
-		Method:       parseMethod(*method),
-		DoubleBuffer: !*noOverlap,
-		Caching:      *caching,
-		DegreeScores: *degScores,
-		Faults:       faultSpec,
+	opt, err := spec.Options(g.NumVertices())
+	if err != nil {
+		return err
 	}
-	if *scheme == "cyclic" {
-		opt.Scheme = part.Cyclic
-	}
-	if *caching {
-		opt.OffsetsCacheBytes = *offBytes
-		opt.AdjCacheBytes = *adjBytes
-		if opt.OffsetsCacheBytes == 0 {
-			opt.OffsetsCacheBytes = 16 * (2 * g.NumVertices() / 5)
-		}
-		if opt.AdjCacheBytes == 0 {
-			opt.AdjCacheBytes = 64 << 20
-		}
-	}
-
-	opt.DelegateBytes = *delegate
+	opt.Ranks, opt.Scheme, opt.DelegateBytes = *ranks, partScheme, *delegate
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -126,15 +125,9 @@ func run(args []string, out *os.File) error {
 	case "pull":
 		res, err = lcc.RunCtx(ctx, g, opt)
 	case "push":
-		agg := lcc.PushBatched
-		if *pushAgg == "direct" {
-			agg = lcc.PushDirect
-		}
 		res, err = lcc.RunPushCtx(ctx, g, lcc.PushOptions{Options: opt, Aggregation: agg})
 	case "replicated":
 		res, err = lcc.RunReplicatedCtx(ctx, g, lcc.ReplicatedOptions{Options: opt, Replication: *replicas})
-	default:
-		err = fmt.Errorf("unknown engine %q", *engine)
 	}
 	if err != nil {
 		return err
@@ -218,18 +211,5 @@ func readGraph(f *os.File, format string, directed bool) (*graph.Graph, error) {
 		return graph.ReadMatrixMarket(f)
 	default:
 		return nil, fmt.Errorf("unknown format %q", format)
-	}
-}
-
-func parseMethod(s string) intersect.Method {
-	switch s {
-	case "ssi":
-		return intersect.MethodSSI
-	case "binary":
-		return intersect.MethodBinary
-	case "hash":
-		return intersect.MethodHash
-	default:
-		return intersect.MethodHybrid
 	}
 }

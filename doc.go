@@ -74,7 +74,8 @@
 // over HTTP:
 //
 //	inst := repro.NewServeInstance("fb", repro.ServeConfig{
-//		Dataset: "fb-sim", Ranks: 8, MaxConcurrent: 2,
+//		Dataset: "fb-sim", MaxConcurrent: 2,
+//		SnapshotOptions: repro.SnapshotOptions{Ranks: 8},
 //		StallTimeout: time.Minute, // watchdog: force-cancel wedged runs
 //	})
 //	_ = inst.Start()
@@ -89,6 +90,13 @@
 //	$ curl localhost:8090/v1/health
 //	$ kill -9 %1 && go run ./cmd/lccd -state-dir /var/lib/lccd &  # fleet recovers
 //	$ curl localhost:8090/v1/ps   # instance is back (parked), first query reloads it
+//
+// The load body is a ServeLoadSpec, also the persisted manifest; the run
+// body embeds the run spec lccrun fills from its flags. Both are validated
+// before anything is built or admitted: unknown names, or ranks or workers
+// outside [0, 4096], are a 400 "bad-request" (lccrun exits 1). An omitted
+// cache size is the paper sizing in both tools: 16·⌊2n/5⌋ bytes of
+// C_offsets for n vertices, 64 MiB of C_adj (DESIGN.md §8).
 //
 // A run canceled by its context or deadline unwinds the simulated ranks
 // at their next checkpoint (errors.Is(err, repro.ErrRunCanceled)); an

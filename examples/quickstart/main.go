@@ -112,7 +112,7 @@ func main() {
 	}
 	sup := repro.NewServeSupervisor()
 	sup.SetManifestStore(store)
-	if _, err := sup.Load("fb", repro.ServeConfig{Dataset: "fb-sim", Ranks: 4, QueueDepth: 4}); err != nil {
+	if _, err := sup.Load(repro.ServeLoadSpec{Name: "fb", Dataset: "fb-sim", Ranks: 4, QueueDepth: 4}); err != nil {
 		log.Fatal(err)
 	}
 	query := repro.ServeQuery{Options: repro.LCCOptions{Method: repro.MethodHybrid, DoubleBuffer: true}}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/gen"
-	"repro/internal/graph"
 	"repro/internal/intersect"
 	"repro/internal/lcc"
 )
@@ -22,16 +21,6 @@ func baseEngineOptions(ranks int) lcc.Options {
 		Method:       intersect.MethodHybrid,
 		DoubleBuffer: true,
 	}
-}
-
-// paperCacheBytes returns the Fig. 9/10 cache budget scaled to this
-// reproduction: C_offsets sized to hold 40% of the vertices as (start,end)
-// pairs (the paper's 0.8·|V| allocation) and C_adj given an ample budget
-// (the paper's "rest of 16 GiB", which exceeds the small-scale graphs).
-func paperCacheBytes(g *graph.Graph) (offBytes, adjBytes int) {
-	offBytes = 16 * (2 * g.NumVertices() / 5)
-	adjBytes = 64 << 20
-	return
 }
 
 // Fig7CacheSize regenerates Fig. 7: communication time and miss rate as a
@@ -129,7 +118,7 @@ func Fig8Scores() *Table {
 		for _, deg := range []bool{false, true} {
 			opt := baseEngineOptions(p)
 			opt.Caching = true
-			opt.OffsetsCacheBytes, _ = paperCacheBytes(g)
+			opt.OffsetsCacheBytes, _ = lcc.PaperCacheBytes(g.NumVertices())
 			opt.AdjCacheBytes = nonLocal / 4
 			opt.DegreeScores = deg
 			res, err := lcc.Run(g, opt)

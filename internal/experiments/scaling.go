@@ -34,7 +34,7 @@ func runSeries(g *graph.Graph, ranks int, withTriC, withTriCBuf bool) seriesResu
 
 	opt := baseEngineOptions(ranks)
 	opt.Caching = true
-	opt.OffsetsCacheBytes, opt.AdjCacheBytes = paperCacheBytes(g)
+	opt.OffsetsCacheBytes, opt.AdjCacheBytes = lcc.PaperCacheBytes(g.NumVertices())
 	cached, err := lcc.Run(g, opt)
 	if err != nil {
 		panic(err)
@@ -227,7 +227,7 @@ func AblationScores() *Table {
 	} {
 		opt := baseEngineOptions(p)
 		opt.Caching = true
-		opt.OffsetsCacheBytes, _ = paperCacheBytes(g)
+		opt.OffsetsCacheBytes, _ = lcc.PaperCacheBytes(g.NumVertices())
 		opt.AdjCacheBytes = nonLocal / 4
 		opt.AdjScorePolicy = policy
 		res, err := lcc.Run(g, opt)

@@ -263,3 +263,19 @@ func TestMethodString(t *testing.T) {
 		t.Error("Method.String broken")
 	}
 }
+
+// TestParseMethod: every method round-trips through its name, "" is the
+// hybrid, and an unknown name is an error rather than a silent default.
+func TestParseMethod(t *testing.T) {
+	for _, m := range []Method{MethodSSI, MethodBinary, MethodHybrid, MethodHash} {
+		if got, err := ParseMethod(m.String()); err != nil || got != m {
+			t.Errorf("ParseMethod(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	if got, err := ParseMethod(""); err != nil || got != MethodHybrid {
+		t.Errorf(`ParseMethod("") = %v, %v; want hybrid`, got, err)
+	}
+	if _, err := ParseMethod("nosuch"); err == nil {
+		t.Error("unknown method accepted")
+	}
+}

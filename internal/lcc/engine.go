@@ -382,14 +382,7 @@ func Run(g graph.Store, opt Options) (*Result, error) {
 // that keep the graph loaded across queries should build the Snapshot once
 // and call its RunCtx directly; this entry point rebuilds it per run.
 func RunCtx(ctx context.Context, g graph.Store, opt Options) (*Result, error) {
-	opt = opt.withDefaults(g.NumVertices())
-	if opt.Ranks < 1 {
-		return nil, fmt.Errorf("lcc: invalid rank count %d", opt.Ranks)
-	}
-	snap, err := NewSnapshotOpts(g, SnapshotOptions{
-		Ranks: opt.Ranks, Scheme: opt.Scheme, DelegateBytes: opt.DelegateBytes,
-		Storage: opt.Storage, MemBudgetBytes: opt.MemBudgetBytes,
-	})
+	snap, err := NewSnapshotOpts(g, opt.snapshotOptions())
 	if err != nil {
 		return nil, err
 	}

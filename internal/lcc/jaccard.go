@@ -39,11 +39,7 @@ func RunJaccard(g graph.Store, opt Options) (*JaccardResult, error) {
 // setup rides the Snapshot path, so arc-balanced (BlockArcs) partitions
 // now work for Jaccard too.
 func RunJaccardCtx(ctx context.Context, g graph.Store, opt Options) (*JaccardResult, error) {
-	opt = opt.withDefaults(g.NumVertices())
-	snap, err := NewSnapshotOpts(g, SnapshotOptions{
-		Ranks: opt.Ranks, Scheme: opt.Scheme, DelegateBytes: opt.DelegateBytes,
-		Storage: opt.Storage, MemBudgetBytes: opt.MemBudgetBytes,
-	})
+	snap, err := NewSnapshotOpts(g, opt.snapshotOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -59,6 +59,12 @@ type SnapshotOptions struct {
 	MemBudgetBytes int64
 }
 
+// snapshotOptions is the per-graph half of o.
+func (o Options) snapshotOptions() SnapshotOptions {
+	return SnapshotOptions{Ranks: o.Ranks, Scheme: o.Scheme, DelegateBytes: o.DelegateBytes,
+		Storage: o.Storage, MemBudgetBytes: o.MemBudgetBytes}
+}
+
 // NewSnapshot partitions g over the given rank count and precomputes every
 // per-graph table of the engine setup. ranks == 0 selects 1. The snapshot
 // pins the distribution: queries executed on it inherit its rank count,

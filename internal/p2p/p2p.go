@@ -209,7 +209,8 @@ func NewWorld(p int, model rma.CostModel) *World {
 }
 
 // NewWorldWorkers creates a BSP world whose superstep bodies execute on at
-// most workers concurrent goroutines; workers <= 0 selects GOMAXPROCS.
+// most workers concurrent goroutines; workers <= 0 selects GOMAXPROCS and
+// a bound above p is clamped to p.
 // Supersteps are barrier-phased — ranks interact only through the
 // host-serial Exchange between steps — so results are bit-identical at
 // every worker count provided bodies keep their writes rank-disjoint (the
@@ -218,7 +219,7 @@ func NewWorldWorkers(p int, model rma.CostModel, workers int) *World {
 	if p < 1 {
 		panic(fmt.Sprintf("p2p: need at least one rank, got %d", p))
 	}
-	w := &World{p: p, model: model, pool: sched.New(workers)}
+	w := &World{p: p, model: model, pool: sched.New(min(workers, p))}
 	w.ranks = make([]*Rank, p)
 	for i := range w.ranks {
 		w.ranks[i] = &Rank{id: i, world: w, outbox: make([][]Message, p), tape: make([]p2pCharge, 0, 512)}

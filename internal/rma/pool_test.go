@@ -169,3 +169,14 @@ func TestGetAllocFree(t *testing.T) {
 		r.UnlockAll(w)
 	}
 }
+
+// TestWorkersClampedToRanks: a worker bound above the rank count costs one
+// pool slot per rank, not one per requested worker.
+func TestWorkersClampedToRanks(t *testing.T) {
+	if got := NewCommWorkers(4, DefaultCostModel(), 1<<27).Workers(); got != 4 {
+		t.Fatalf("Workers = %d, want 4", got)
+	}
+	if got := NewCommWorkers(4, DefaultCostModel(), 2).Workers(); got != 2 {
+		t.Fatalf("Workers = %d, want 2", got)
+	}
+}

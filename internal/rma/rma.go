@@ -45,7 +45,8 @@ func NewComm(p int, model CostModel) *Comm {
 }
 
 // NewCommWorkers creates a world of p ranks bounded to the given number of
-// concurrently executing rank bodies. workers <= 0 selects GOMAXPROCS.
+// concurrently executing rank bodies. workers <= 0 selects GOMAXPROCS, and
+// a bound above p is clamped to p: a slot no rank can take is never used.
 // Results are bit-identical at every worker count: rank state is
 // rank-local, and the only cross-rank writes — accumulates into writable
 // windows — are staged per (origin, target) and committed in origin-rank
@@ -54,7 +55,7 @@ func NewCommWorkers(p int, model CostModel, workers int) *Comm {
 	if p < 1 {
 		panic(fmt.Sprintf("rma: need at least one rank, got %d", p))
 	}
-	return &Comm{p: p, model: model, pool: sched.New(workers), byID: make([][]*Rank, p)}
+	return &Comm{p: p, model: model, pool: sched.New(min(workers, p)), byID: make([][]*Rank, p)}
 }
 
 // NumRanks returns the world size p.

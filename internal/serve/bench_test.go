@@ -21,7 +21,7 @@ import (
 func BenchmarkServeSustainedQPS(b *testing.B) {
 	par := runtime.GOMAXPROCS(0)
 	inst := serve.NewInstance("bench", serve.Config{
-		Dataset: "fb-sim", Ranks: 4, MaxConcurrent: par,
+		Dataset: "fb-sim", SnapshotOptions: lcc.SnapshotOptions{Ranks: 4}, MaxConcurrent: par,
 	})
 	if err := inst.Start(); err != nil {
 		b.Fatal(err)
@@ -65,7 +65,7 @@ func BenchmarkServeQueuedOverload(b *testing.B) {
 	}
 	clients := 2 * slots
 	inst := serve.NewInstance("bench-q", serve.Config{
-		Dataset: "fb-sim", Ranks: 4,
+		Dataset: "fb-sim", SnapshotOptions: lcc.SnapshotOptions{Ranks: 4},
 		MaxConcurrent: slots / 2, QueueDepth: clients,
 	})
 	if err := inst.Start(); err != nil {

@@ -72,11 +72,10 @@ func TestChaosSupervisorStorm(t *testing.T) {
 	sup := serve.NewSupervisor()
 	sup.SetManifestStore(testStore(t))
 	sup.SetRunCap(8)
-	cfg := serve.Config{
-		Dataset: "fb-sim", Ranks: 4, MaxConcurrent: 2, QueueDepth: 4,
-		StallTimeout: 5 * time.Second,
-	}
-	inst, err := sup.Load("fb", cfg)
+	inst, err := sup.Load(serve.LoadSpec{
+		Name: "fb", Dataset: "fb-sim", Ranks: 4, MaxConcurrent: 2, QueueDepth: 4,
+		StallTimeoutMS: 5000,
+	})
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -160,8 +159,8 @@ func TestChaosSupervisorStorm(t *testing.T) {
 					}
 					gate.Unlock()
 				case 4: // churn a second instance
-					_, err := sup.Load(fmt.Sprintf("side-%d", g), serve.Config{
-						Dataset: "fb-sim", Ranks: 2, MaxConcurrent: 1,
+					_, err := sup.Load(serve.LoadSpec{
+						Name: fmt.Sprintf("side-%d", g), Dataset: "fb-sim", Ranks: 2, MaxConcurrent: 1,
 					})
 					if err != nil && !typedChaosError(err) {
 						t.Errorf("side load: untyped error %v", err)

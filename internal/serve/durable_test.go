@@ -26,15 +26,15 @@ func testStore(t *testing.T) *serve.ManifestStore {
 	return ms
 }
 
-func fbConfig() serve.Config {
-	return serve.Config{Dataset: "fb-sim", Ranks: 4, MaxConcurrent: 2, QueueDepth: 4}
+func fbSpec(name string) serve.LoadSpec {
+	return serve.LoadSpec{Name: name, Dataset: "fb-sim", Ranks: 4, MaxConcurrent: 2, QueueDepth: 4}
 }
 
 // TestManifestRoundTrip saves a manifest and reads it back through both
 // Load and LoadAll, field for field.
 func TestManifestRoundTrip(t *testing.T) {
 	ms := testStore(t)
-	want := &serve.Manifest{
+	want := &serve.LoadSpec{
 		Name: "fb", Dataset: "fb-sim", Ranks: 4, Scheme: "block",
 		DelegateBytes: 1 << 16, Storage: "compressed", MemBudgetBytes: 1 << 30,
 		MaxConcurrent: 2, QueueDepth: 8, DefaultTimeoutMS: 5000,
@@ -69,9 +69,9 @@ func TestManifestRoundTrip(t *testing.T) {
 // bad file while returning the good ones.
 func TestManifestCorruptionDetected(t *testing.T) {
 	ms := testStore(t)
-	good := &serve.Manifest{Name: "good", Dataset: "fb-sim", Ranks: 4}
-	bad := &serve.Manifest{Name: "bad", Dataset: "fb-sim", Ranks: 4}
-	for _, m := range []*serve.Manifest{good, bad} {
+	good := &serve.LoadSpec{Name: "good", Dataset: "fb-sim", Ranks: 4}
+	bad := &serve.LoadSpec{Name: "bad", Dataset: "fb-sim", Ranks: 4}
+	for _, m := range []*serve.LoadSpec{good, bad} {
 		if err := ms.Save(m); err != nil {
 			t.Fatalf("Save: %v", err)
 		}
@@ -170,7 +170,7 @@ func TestParkRefusesBusy(t *testing.T) {
 // golden pins, in turn parking the other one.
 func TestSupervisorEvictionLRU(t *testing.T) {
 	sup := serve.NewSupervisor()
-	a, err := sup.Load("a", fbConfig())
+	a, err := sup.Load(fbSpec("a"))
 	if err != nil {
 		t.Fatalf("load a: %v", err)
 	}
@@ -181,7 +181,7 @@ func TestSupervisorEvictionLRU(t *testing.T) {
 	// Budget fits one snapshot and a half: loading the second instance
 	// must park the first (the colder of the two).
 	sup.SetMemBudget(bytes + bytes/2)
-	b, err := sup.Load("b", fbConfig())
+	b, err := sup.Load(fbSpec("b"))
 	if err != nil {
 		t.Fatalf("load b: %v", err)
 	}
@@ -217,9 +217,9 @@ func TestSupervisorEvictionLRU(t *testing.T) {
 // the fleet overshoots the budget — overshoot beats canceling work.
 func TestSupervisorEvictionSparesBusyAndQueued(t *testing.T) {
 	sup := serve.NewSupervisor()
-	cfg := fbConfig()
-	cfg.MaxConcurrent = 1
-	a, err := sup.Load("a", cfg)
+	spec := fbSpec("a")
+	spec.MaxConcurrent = 1
+	a, err := sup.Load(spec)
 	if err != nil {
 		t.Fatalf("load a: %v", err)
 	}
@@ -238,7 +238,7 @@ func TestSupervisorEvictionSparesBusyAndQueued(t *testing.T) {
 	// nothing evictable, so admission browns out with the typed shed
 	// error instead of piling on another snapshot (shed.go).
 	sup.SetMemBudget(1)
-	if _, err := sup.Load("b", fbConfig()); !errors.Is(err, serve.ErrBrownout) {
+	if _, err := sup.Load(fbSpec("b")); !errors.Is(err, serve.ErrBrownout) {
 		t.Fatalf("load b under brownout: err = %v, want ErrBrownout", err)
 	}
 	if st := a.State(); st != serve.StateBusy {
@@ -271,7 +271,7 @@ func TestSupervisorRecoveryLazy(t *testing.T) {
 	}
 	sup1 := serve.NewSupervisor()
 	sup1.SetManifestStore(ms)
-	if _, err := sup1.Load("fb", fbConfig()); err != nil {
+	if _, err := sup1.Load(fbSpec("fb")); err != nil {
 		t.Fatalf("load: %v", err)
 	}
 	res, err := sup1.Run(context.Background(), "fb", pullQuery(4))
@@ -323,7 +323,7 @@ func TestSupervisorRecoveryEager(t *testing.T) {
 	}
 	sup1 := serve.NewSupervisor()
 	sup1.SetManifestStore(ms)
-	if _, err := sup1.Load("fb", fbConfig()); err != nil {
+	if _, err := sup1.Load(fbSpec("fb")); err != nil {
 		t.Fatalf("load: %v", err)
 	}
 
@@ -359,7 +359,7 @@ func TestSupervisorRecoverySkipsBadManifests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []*serve.Manifest{
+	for _, m := range []*serve.LoadSpec{
 		{Name: "good", Dataset: "fb-sim", Ranks: 4},
 		{Name: "torn", Dataset: "fb-sim", Ranks: 4},
 		{Name: "future", Dataset: "fb-sim", Ranks: 4},
@@ -416,7 +416,7 @@ func TestSupervisorStopForgetsManifest(t *testing.T) {
 	ms := testStore(t)
 	sup := serve.NewSupervisor()
 	sup.SetManifestStore(ms)
-	if _, err := sup.Load("fb", fbConfig()); err != nil {
+	if _, err := sup.Load(fbSpec("fb")); err != nil {
 		t.Fatalf("load: %v", err)
 	}
 	if all, _ := ms.LoadAll(); len(all) != 1 {
@@ -443,7 +443,7 @@ func TestSupervisorShutdownJoinsStuckInstances(t *testing.T) {
 	releases := make([]chan struct{}, 0, 2)
 	joins := make([]func(), 0, 2)
 	for _, name := range []string{"stuck-a", "stuck-b"} {
-		inst, err := sup.Load(name, fbConfig())
+		inst, err := sup.Load(fbSpec(name))
 		if err != nil {
 			t.Fatalf("load %s: %v", name, err)
 		}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/lcc"
 	"repro/internal/serve"
 )
 
@@ -15,7 +16,7 @@ import (
 // machine to its typed error: no edge races, none hangs.
 func TestLifecycleTransitionEdges(t *testing.T) {
 	ctx := context.Background()
-	inst := serve.NewInstance("edges", serve.Config{Dataset: "fb-sim", Ranks: 2})
+	inst := serve.NewInstance("edges", serve.Config{Dataset: "fb-sim", SnapshotOptions: lcc.SnapshotOptions{Ranks: 2}})
 
 	if _, err := inst.Run(ctx, pullQuery(1)); !errors.Is(err, serve.ErrNotReady) {
 		t.Errorf("run before Start: err = %v, want ErrNotReady", err)
@@ -109,7 +110,7 @@ func blockingQuery(workers int) (q serve.Query, entered, release chan struct{}) 
 // TestLifecycleAdmissionControl: MaxConcurrent bounds in-flight runs;
 // overflow is an immediate typed ErrBusy, and draining restores ready.
 func TestLifecycleAdmissionControl(t *testing.T) {
-	inst := serve.NewInstance("adm", serve.Config{Dataset: "fb-sim", Ranks: 4, MaxConcurrent: 1})
+	inst := serve.NewInstance("adm", serve.Config{Dataset: "fb-sim", SnapshotOptions: lcc.SnapshotOptions{Ranks: 4}, MaxConcurrent: 1})
 	if err := inst.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
@@ -146,11 +147,11 @@ func TestSupervisorRegistry(t *testing.T) {
 	if _, err := sup.Run(ctx, "nope", pullQuery(1)); !errors.Is(err, serve.ErrUnknownInstance) {
 		t.Errorf("run on unknown: err = %v, want ErrUnknownInstance", err)
 	}
-	cfg := serve.Config{Dataset: "fb-sim", Ranks: 4}
-	if _, err := sup.Load("fb", cfg); err != nil {
+	spec := serve.LoadSpec{Name: "fb", Dataset: "fb-sim", Ranks: 4}
+	if _, err := sup.Load(spec); err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if _, err := sup.Load("fb", cfg); !errors.Is(err, serve.ErrAlreadyRunning) {
+	if _, err := sup.Load(spec); !errors.Is(err, serve.ErrAlreadyRunning) {
 		t.Errorf("duplicate Load: err = %v, want ErrAlreadyRunning", err)
 	}
 	res, err := sup.Run(ctx, "fb", pullQuery(4))
@@ -175,7 +176,7 @@ func TestSupervisorRegistry(t *testing.T) {
 		t.Errorf("run on stopped: err = %v, want ErrInstanceExited", err)
 	}
 	// An exited name is replaceable.
-	if _, err := sup.Load("fb", cfg); err != nil {
+	if _, err := sup.Load(spec); err != nil {
 		t.Fatalf("Load over exited: %v", err)
 	}
 	if err := sup.Shutdown(ctx); err != nil {
@@ -187,7 +188,7 @@ func TestSupervisorRegistry(t *testing.T) {
 // and waits for in-flight runs up to the context deadline.
 func TestSupervisorShutdownDrains(t *testing.T) {
 	sup := serve.NewSupervisor()
-	inst, err := sup.Load("fb", serve.Config{Dataset: "fb-sim", Ranks: 4})
+	inst, err := sup.Load(serve.LoadSpec{Name: "fb", Dataset: "fb-sim", Ranks: 4})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}

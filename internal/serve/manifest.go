@@ -17,19 +17,20 @@ import (
 	"repro/internal/part"
 )
 
-// Manifest is the durable record of one loaded instance: everything the
-// daemon needs to rebuild the instance after a crash-stop of the *process*
-// — dataset spec, distribution, storage mode, memory budget and admission
-// config. It deliberately holds no graph bytes: the dataset registry (and
-// its disk cache) is the source of truth for data; the manifest is the
-// source of truth for *which instances exist and how they are configured*.
+// LoadSpec is the wire form of one instance's load half — dataset,
+// distribution, storage, memory budget and admission config — and the
+// only one: it is the lccd POST /v1/load body and the manifest payload
+// alike, and Config is its one translation into the typed form. It
+// deliberately holds no graph bytes: the dataset registry (and its disk
+// cache) is the source of truth for data; the manifest is the source of
+// truth for *which instances exist and how they are configured*.
 //
 // On disk a manifest is a small framed file (DESIGN.md §8):
 //
 //	magic    [8]byte  "LCCMANIF"
 //	version  uint32   (1)
 //	length   uint32   payload byte count
-//	payload  JSON-encoded Manifest
+//	payload  JSON-encoded LoadSpec
 //	crc      uint32   CRC-32C (Castagnoli) of the payload
 //
 // — the same checksum discipline as the §9 binary graph container, scaled
@@ -38,7 +39,7 @@ import (
 // framing and checksum and fail with a typed *ManifestError. A corrupt or
 // version-skewed manifest is *skipped loudly* during recovery, never
 // fatal: losing one instance's config must not take down the fleet.
-type Manifest struct {
+type LoadSpec struct {
 	Name             string `json:"name"`
 	Dataset          string `json:"dataset"`
 	Ranks            int    `json:"ranks"`
@@ -50,6 +51,48 @@ type Manifest struct {
 	QueueDepth       int    `json:"queue_depth,omitempty"`
 	DefaultTimeoutMS int64  `json:"default_timeout_ms,omitempty"`
 	StallTimeoutMS   int64  `json:"stall_timeout_ms,omitempty"`
+}
+
+// Config validates the spec and converts it into the instance Config.
+// Every failure wraps lcc.ErrInvalidSpec: a missing name or dataset, an
+// unknown scheme or storage name, ranks past lcc.MaxRanks, or a negative
+// number. The check runs before any snapshot is built.
+func (ls *LoadSpec) Config() (Config, error) {
+	bad := func(format string, args ...any) (Config, error) {
+		return Config{}, fmt.Errorf("%w: %s", lcc.ErrInvalidSpec, fmt.Sprintf(format, args...))
+	}
+	if ls.Name == "" || ls.Dataset == "" {
+		return bad("load needs name and dataset")
+	}
+	if ls.Ranks < 0 || ls.Ranks > lcc.MaxRanks {
+		return bad("ranks %d outside [0, %d]", ls.Ranks, lcc.MaxRanks)
+	}
+	scheme, err := part.ParseScheme(ls.Scheme)
+	if err != nil {
+		return bad("%v", err)
+	}
+	storage, err := lcc.ParseStorageMode(ls.Storage)
+	if err != nil {
+		return bad("%v", err)
+	}
+	if min(ls.DelegateBytes, ls.MaxConcurrent, ls.QueueDepth) < 0 ||
+		min(ls.MemBudgetBytes, ls.DefaultTimeoutMS, ls.StallTimeoutMS) < 0 {
+		return bad("negative size, count or timeout")
+	}
+	return Config{
+		Dataset: ls.Dataset,
+		SnapshotOptions: lcc.SnapshotOptions{
+			Ranks:          ls.Ranks,
+			Scheme:         scheme,
+			DelegateBytes:  ls.DelegateBytes,
+			Storage:        storage,
+			MemBudgetBytes: ls.MemBudgetBytes,
+		},
+		MaxConcurrent:  ls.MaxConcurrent,
+		QueueDepth:     ls.QueueDepth,
+		DefaultTimeout: time.Duration(ls.DefaultTimeoutMS) * time.Millisecond,
+		StallTimeout:   time.Duration(ls.StallTimeoutMS) * time.Millisecond,
+	}, nil
 }
 
 var manifestMagic = [8]byte{'L', 'C', 'C', 'M', 'A', 'N', 'I', 'F'}
@@ -84,55 +127,6 @@ func (e *ManifestError) Error() string {
 }
 
 func (e *ManifestError) Unwrap() error { return e.Err }
-
-// config converts the manifest back into the instance Config it was taken
-// from. Unknown scheme or storage names fail typed — a manifest written by
-// a future version with new enum values must not silently load under the
-// wrong distribution.
-func (m *Manifest) config() (Config, error) {
-	scheme, err := part.ParseScheme(m.Scheme)
-	if err != nil {
-		return Config{}, fmt.Errorf("%w: %v", ErrManifestCorrupt, err)
-	}
-	storage, err := lcc.ParseStorageMode(m.Storage)
-	if err != nil {
-		return Config{}, fmt.Errorf("%w: %v", ErrManifestCorrupt, err)
-	}
-	return Config{
-		Dataset:        m.Dataset,
-		Ranks:          m.Ranks,
-		Scheme:         scheme,
-		DelegateBytes:  m.DelegateBytes,
-		Storage:        storage,
-		MemBudgetBytes: m.MemBudgetBytes,
-		MaxConcurrent:  m.MaxConcurrent,
-		QueueDepth:     m.QueueDepth,
-		DefaultTimeout: time.Duration(m.DefaultTimeoutMS) * time.Millisecond,
-		StallTimeout:   time.Duration(m.StallTimeoutMS) * time.Millisecond,
-	}, nil
-}
-
-// manifestFor captures an instance's durable half. Instances serving a
-// directly injected Graph (cfg.Graph != nil) have no dataset to rebuild
-// from and report ok=false: they are served but not durable.
-func manifestFor(name string, cfg Config) (*Manifest, bool) {
-	if cfg.Graph != nil || cfg.Dataset == "" {
-		return nil, false
-	}
-	return &Manifest{
-		Name:             name,
-		Dataset:          cfg.Dataset,
-		Ranks:            cfg.Ranks,
-		Scheme:           cfg.Scheme.String(),
-		DelegateBytes:    cfg.DelegateBytes,
-		Storage:          cfg.Storage.String(),
-		MemBudgetBytes:   cfg.MemBudgetBytes,
-		MaxConcurrent:    cfg.MaxConcurrent,
-		QueueDepth:       cfg.QueueDepth,
-		DefaultTimeoutMS: int64(cfg.DefaultTimeout / time.Millisecond),
-		StallTimeoutMS:   int64(cfg.StallTimeout / time.Millisecond),
-	}, true
-}
 
 // ManifestStore persists instance manifests in one directory — the
 // daemon's -state-dir. All methods are safe for concurrent use in the
@@ -185,7 +179,7 @@ func (ms *ManifestStore) Path(name string) string {
 // rename can surface a zero-length or garbage file (the rename commits
 // the name before the data reaches disk), and without the directory sync
 // the rename itself can be lost.
-func (ms *ManifestStore) Save(m *Manifest) error {
+func (ms *ManifestStore) Save(m *LoadSpec) error {
 	payload, err := json.Marshal(m)
 	if err != nil {
 		return err
@@ -246,7 +240,7 @@ func (ms *ManifestStore) Remove(name string) error {
 }
 
 // Load reads and verifies one manifest file.
-func (ms *ManifestStore) Load(path string) (*Manifest, error) {
+func (ms *ManifestStore) Load(path string) (*LoadSpec, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, &ManifestError{Path: path, Reason: err.Error(), Err: ErrManifestCorrupt}
@@ -269,7 +263,7 @@ func (ms *ManifestStore) Load(path string) (*Manifest, error) {
 	if got := crc32.Checksum(payload, manifestCRC); got != stored {
 		return nil, &ManifestError{Path: path, Reason: fmt.Sprintf("checksum mismatch (stored %#x, computed %#x)", stored, got), Err: ErrManifestCorrupt}
 	}
-	var m Manifest
+	var m LoadSpec
 	if err := json.Unmarshal(payload, &m); err != nil {
 		return nil, &ManifestError{Path: path, Reason: fmt.Sprintf("payload: %v", err), Err: ErrManifestCorrupt}
 	}
@@ -283,13 +277,13 @@ func (ms *ManifestStore) Load(path string) (*Manifest, error) {
 // name. Unreadable files — corrupt, truncated, version-skewed — are
 // returned as typed *ManifestError values alongside the good manifests:
 // recovery reports them loudly and restores everything else.
-func (ms *ManifestStore) LoadAll() ([]*Manifest, []*ManifestError) {
+func (ms *ManifestStore) LoadAll() ([]*LoadSpec, []*ManifestError) {
 	entries, err := os.ReadDir(ms.dir)
 	if err != nil {
 		return nil, []*ManifestError{{Path: ms.dir, Reason: err.Error(), Err: ErrManifestCorrupt}}
 	}
 	var (
-		manifests []*Manifest
+		manifests []*LoadSpec
 		skipped   []*ManifestError
 	)
 	for _, e := range entries {

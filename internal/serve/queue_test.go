@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/lcc"
 	"repro/internal/serve"
 )
 
@@ -22,7 +23,7 @@ import (
 func queuedInstance(t *testing.T, depth int) *serve.Instance {
 	t.Helper()
 	inst := serve.NewInstance("q", serve.Config{
-		Dataset: "fb-sim", Ranks: 4, MaxConcurrent: 1, QueueDepth: depth,
+		Dataset: "fb-sim", SnapshotOptions: lcc.SnapshotOptions{Ranks: 4}, MaxConcurrent: 1, QueueDepth: depth,
 	})
 	if err := inst.Start(); err != nil {
 		t.Fatalf("Start: %v", err)

@@ -39,7 +39,7 @@ func TestWatchdogStall(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
 			inst := serve.NewInstance("wd", serve.Config{
-				Dataset: "fb-sim", Ranks: 4, StallTimeout: 150 * time.Millisecond,
+				Dataset: "fb-sim", SnapshotOptions: lcc.SnapshotOptions{Ranks: 4}, StallTimeout: 150 * time.Millisecond,
 			})
 			if err := inst.Start(); err != nil {
 				t.Fatalf("Start: %v", err)
@@ -97,7 +97,7 @@ func TestWatchdogStall(t *testing.T) {
 // stragglers a barrier waits for keep ticking the progress counter.
 func TestWatchdogSparesHealthyRuns(t *testing.T) {
 	inst := serve.NewInstance("wd-ok", serve.Config{
-		Dataset: "fb-sim", Ranks: 4, StallTimeout: 2 * time.Second,
+		Dataset: "fb-sim", SnapshotOptions: lcc.SnapshotOptions{Ranks: 4}, StallTimeout: 2 * time.Second,
 	})
 	if err := inst.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
@@ -133,7 +133,7 @@ func TestScrubQuarantineReload(t *testing.T) {
 		for _, tc := range sections {
 			t.Run(fmt.Sprintf("workers=%d/%s", w, tc.section), func(t *testing.T) {
 				sup := serve.NewSupervisor()
-				inst, err := sup.Load("fb", serve.Config{Dataset: "fb-sim", Ranks: 4})
+				inst, err := sup.Load(serve.LoadSpec{Name: "fb", Dataset: "fb-sim", Ranks: 4})
 				if err != nil {
 					t.Fatalf("load: %v", err)
 				}
@@ -204,8 +204,8 @@ func TestScrubErrorTyping(t *testing.T) {
 // stream and both offset tables.
 func TestScrubCompressedStorage(t *testing.T) {
 	sup := serve.NewSupervisor()
-	inst, err := sup.Load("fbz", serve.Config{
-		Dataset: "fb-sim", Ranks: 4, Storage: lcc.StorageCompressed,
+	inst, err := sup.Load(serve.LoadSpec{
+		Name: "fbz", Dataset: "fb-sim", Ranks: 4, Storage: "compressed",
 	})
 	if err != nil {
 		t.Fatalf("load: %v", err)
@@ -228,7 +228,7 @@ func TestScrubCompressedStorage(t *testing.T) {
 // the next idle sweep, which then catches it.
 func TestScrubSkipsBusy(t *testing.T) {
 	sup := serve.NewSupervisor()
-	inst, err := sup.Load("fb", serve.Config{Dataset: "fb-sim", Ranks: 4, MaxConcurrent: 1})
+	inst, err := sup.Load(serve.LoadSpec{Name: "fb", Dataset: "fb-sim", Ranks: 4, MaxConcurrent: 1})
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -260,7 +260,7 @@ func TestScrubSkipsBusy(t *testing.T) {
 // admission numbers, and a freed slot restores service.
 func TestServerRunCap(t *testing.T) {
 	sup := serve.NewSupervisor()
-	inst, err := sup.Load("fb", serve.Config{Dataset: "fb-sim", Ranks: 4, MaxConcurrent: 2})
+	inst, err := sup.Load(serve.LoadSpec{Name: "fb", Dataset: "fb-sim", Ranks: 4, MaxConcurrent: 2})
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -315,9 +315,9 @@ func TestServerRunCap(t *testing.T) {
 // loads are admitted again.
 func TestBrownoutSheddingTable(t *testing.T) {
 	sup := serve.NewSupervisor()
-	cfg := fbConfig()
-	cfg.MaxConcurrent = 1
-	a, err := sup.Load("a", cfg)
+	spec := fbSpec("a")
+	spec.MaxConcurrent = 1
+	a, err := sup.Load(spec)
 	if err != nil {
 		t.Fatalf("load a: %v", err)
 	}
@@ -325,7 +325,7 @@ func TestBrownoutSheddingTable(t *testing.T) {
 	sup.SetMemBudget(1)
 
 	// Load: shed, typed, with the numbers.
-	_, err = sup.Load("b", fbConfig())
+	_, err = sup.Load(fbSpec("b"))
 	if !errors.Is(err, serve.ErrBrownout) {
 		t.Fatalf("load under brownout err = %v, want ErrBrownout", err)
 	}
@@ -359,7 +359,7 @@ func TestBrownoutSheddingTable(t *testing.T) {
 
 	// Pressure drained: a is idle and evictable now, so the next load
 	// parks it and is admitted.
-	b, err := sup.Load("b", fbConfig())
+	b, err := sup.Load(fbSpec("b"))
 	if err != nil {
 		t.Fatalf("load b after drain: %v", err)
 	}
@@ -385,7 +385,7 @@ func TestManifestCrashConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &serve.Manifest{Name: "fb", Dataset: "fb-sim", Ranks: 4, QueueDepth: 2}
+	m := &serve.LoadSpec{Name: "fb", Dataset: "fb-sim", Ranks: 4, QueueDepth: 2}
 	if err := ms.Save(m); err != nil {
 		t.Fatalf("Save: %v", err)
 	}

@@ -45,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,7 +53,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/lcc"
-	"repro/internal/part"
 	"repro/internal/sched"
 )
 
@@ -137,19 +137,10 @@ type Config struct {
 	// a manifest, so the supervisor neither persists nor parks them.
 	Graph *graph.Graph
 
-	// Ranks, Scheme and DelegateBytes pin the snapshot's distribution
-	// (lcc.NewSnapshot); queries inherit them regardless of their own
-	// Options. Ranks 0 selects 1.
-	Ranks         int
-	Scheme        part.Scheme
-	DelegateBytes int
-
-	// Storage selects the host-side representation of the snapshot's
-	// per-rank adjacency plane (lcc.StorageMode); MemBudgetBytes is the
-	// StorageAuto budget. Host-side only — results are bit-identical
-	// across modes (DESIGN.md §9).
-	Storage        lcc.StorageMode
-	MemBudgetBytes int64
+	// SnapshotOptions pin the snapshot's distribution (ranks, scheme,
+	// delegation) and host storage; queries inherit the distribution
+	// regardless of their own Options.
+	lcc.SnapshotOptions
 
 	// MaxConcurrent bounds executing runs; 0 selects 1.
 	MaxConcurrent int
@@ -218,9 +209,6 @@ type Instance struct {
 func NewInstance(name string, cfg Config) *Instance {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 1
-	}
-	if cfg.Ranks == 0 {
-		cfg.Ranks = 1
 	}
 	if cfg.QueueDepth < 0 {
 		cfg.QueueDepth = 0
@@ -323,13 +311,7 @@ func (inst *Instance) load() error {
 	}
 	var snap *lcc.Snapshot
 	if err == nil {
-		snap, err = lcc.NewSnapshotOpts(g, lcc.SnapshotOptions{
-			Ranks:          inst.cfg.Ranks,
-			Scheme:         inst.cfg.Scheme,
-			DelegateBytes:  inst.cfg.DelegateBytes,
-			Storage:        inst.cfg.Storage,
-			MemBudgetBytes: inst.cfg.MemBudgetBytes,
-		})
+		snap, err = lcc.NewSnapshotOpts(g, inst.cfg.SnapshotOptions)
 	}
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
@@ -451,6 +433,13 @@ type Query struct {
 	Engine string
 	// Options are the engine options for this run.
 	Options lcc.Options
+	// Spec, when set, is the query in wire form (the lccd run body) and
+	// takes the place of Engine and Options, which must then stay zero: a
+	// query setting both is rejected with lcc.ErrInvalidSpec. Once the
+	// run is admitted, the spec is converted against the instance's
+	// graph, whose vertex count sizes an omitted C_offsets
+	// (lcc.RunSpec.Options).
+	Spec *lcc.RunSpec
 	// Timeout bounds the run; 0 applies the instance default, negative
 	// disables the deadline even when the instance has one.
 	Timeout time.Duration
@@ -503,6 +492,10 @@ func ScoreBits(scores []float64) uint64 {
 func (inst *Instance) Run(ctx context.Context, q Query) (*QueryResult, error) {
 	snap, queueWait, err := inst.admit(ctx, q)
 	if err != nil {
+		return nil, err
+	}
+	if q, err = q.resolve(snap.Graph().NumVertices()); err != nil {
+		inst.finish(err)
 		return nil, err
 	}
 	timeout := q.Timeout
@@ -651,24 +644,34 @@ func (inst *Instance) finish(err error) {
 	inst.cond.Broadcast()
 }
 
+// resolve converts a Spec into Engine and Options for a graph of n
+// vertices and rejects a query no instance could run: a Spec set together
+// with Engine or Options, an invalid Spec, or an engine execute does not
+// know. The errors wrap lcc.ErrInvalidSpec.
+func (q Query) resolve(n int) (Query, error) {
+	if q.Spec != nil {
+		if q.Engine != "" || !reflect.ValueOf(q.Options).IsZero() {
+			return q, fmt.Errorf("%w: serve: a query sets Spec or Engine and Options, not both", lcc.ErrInvalidSpec)
+		}
+		var err error
+		if q.Options, err = q.Spec.Options(n); err != nil {
+			return q, err
+		}
+		q.Engine, q.Spec = q.Spec.Engine, nil
+	}
+	switch q.Engine {
+	case "", "lcc", "jaccard":
+		return q, nil
+	}
+	return q, fmt.Errorf("%w: serve: unknown engine %q", lcc.ErrInvalidSpec, q.Engine)
+}
+
 // execute dispatches the query to its engine on the captured snapshot.
 // Panic conversion happens below, in the scheduler: sched.Pool.RunCtx
 // recovers rank-body panics into *sched.PanicError, so a misbehaving
 // engine can fail this run but not the process.
 func execute(ctx context.Context, snap *lcc.Snapshot, q Query) (*QueryResult, error) {
-	switch q.Engine {
-	case "", "lcc":
-		res, err := snap.RunCtx(ctx, q.Options)
-		if err != nil {
-			return nil, err
-		}
-		return &QueryResult{
-			Engine: "lcc", SimTime: res.SimTime,
-			Triangles: res.Triangles, SumT: res.SumT,
-			ScoreBits: ScoreBits(res.LCC), HitRate: res.HitRate(),
-			LCC: res,
-		}, nil
-	case "jaccard":
+	if q.Engine == "jaccard" {
 		res, err := snap.RunJaccardCtx(ctx, q.Options)
 		if err != nil {
 			return nil, err
@@ -678,9 +681,17 @@ func execute(ctx context.Context, snap *lcc.Snapshot, q Query) (*QueryResult, er
 			ScoreBits: ScoreBits(res.Scores),
 			Jaccard:   res,
 		}, nil
-	default:
-		return nil, fmt.Errorf("serve: unknown engine %q", q.Engine)
 	}
+	res, err := snap.RunCtx(ctx, q.Options)
+	if err != nil {
+		return nil, err
+	}
+	return &QueryResult{
+		Engine: "lcc", SimTime: res.SimTime,
+		Triangles: res.Triangles, SumT: res.SumT,
+		ScoreBits: ScoreBits(res.LCC), HitRate: res.HitRate(),
+		LCC: res,
+	}, nil
 }
 
 // InstanceInfo is the ps/health view of one instance.
@@ -706,7 +717,7 @@ func (inst *Instance) Info() InstanceInfo {
 		Name:     inst.name,
 		Dataset:  inst.cfg.Dataset,
 		State:    inst.state.String(),
-		Ranks:    inst.cfg.Ranks,
+		Ranks:    max(inst.cfg.Ranks, 1), // 0 selects 1, as in lcc.NewSnapshotOpts
 		Active:   inst.active,
 		Queued:   inst.queue.Len(),
 		Counters: inst.ctr,

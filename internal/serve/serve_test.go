@@ -34,7 +34,7 @@ var workerSweep = []int{1, 2, 4, 8}
 
 func fbInstance(t *testing.T) *serve.Instance {
 	t.Helper()
-	inst := serve.NewInstance("fb", serve.Config{Dataset: "fb-sim", Ranks: 4})
+	inst := serve.NewInstance("fb", serve.Config{Dataset: "fb-sim", SnapshotOptions: lcc.SnapshotOptions{Ranks: 4}})
 	if err := inst.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}

@@ -139,48 +139,44 @@ func (s *Supervisor) admitLoad() error {
 	return nil
 }
 
-// Load creates, registers and starts an instance under name. A live
-// instance already holding the name is an error (ErrAlreadyRunning); an
-// exited one is replaced. On a load failure the instance stays registered
-// in its unhealthy state — ps and health report the cause — and the error
-// is returned alongside it. A successful load persists the instance's
-// manifest (when a store is set) and enforces the memory budget.
-func (s *Supervisor) Load(name string, cfg Config) (*Instance, error) {
-	// Global admission first (shed.go): a browned-out server refuses the
+// Load validates the spec, then creates, registers and starts an instance
+// under spec.Name. An invalid spec fails with an error wrapping
+// lcc.ErrInvalidSpec before anything is built. A live instance already
+// holding the name is an error (ErrAlreadyRunning); an exited one is
+// replaced. On a load failure the instance stays registered in its
+// unhealthy state — ps and health report the cause — and the error is
+// returned alongside it. A successful load persists the spec as the
+// instance's manifest (when a store is set) and enforces the memory
+// budget.
+func (s *Supervisor) Load(spec LoadSpec) (*Instance, error) {
+	cfg, err := spec.Config()
+	if err != nil {
+		return nil, err
+	}
+	// Global admission next (shed.go): a browned-out server refuses the
 	// load before an instance is ever registered, so a shed leaves no
 	// state behind.
 	if err := s.admitLoad(); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
-	if old, ok := s.instances[name]; ok && old.State() != StateExited {
+	if old, ok := s.instances[spec.Name]; ok && old.State() != StateExited {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("serve: instance %q: %w", name, ErrAlreadyRunning)
+		return nil, fmt.Errorf("serve: instance %q: %w", spec.Name, ErrAlreadyRunning)
 	}
-	inst := NewInstance(name, cfg)
+	inst := NewInstance(spec.Name, cfg)
 	inst.onResident = s.noteResident
-	s.instances[name] = inst
+	s.instances[spec.Name] = inst
+	ms := s.manifests
 	s.mu.Unlock()
 	if err := inst.Start(); err != nil {
 		return inst, err
 	}
-	s.persistManifest(inst)
+	// Best-effort by contract: a full disk degrades recovery, not serving.
+	if ms != nil {
+		_ = ms.Save(&spec)
+	}
 	return inst, nil
-}
-
-// persistManifest saves the instance's manifest when persistence is on
-// and the instance is durable (dataset-backed). Best-effort by contract:
-// a full disk degrades recovery, not serving.
-func (s *Supervisor) persistManifest(inst *Instance) {
-	s.mu.Lock()
-	ms := s.manifests
-	s.mu.Unlock()
-	if ms == nil {
-		return
-	}
-	if m, ok := manifestFor(inst.Name(), inst.cfg); ok {
-		_ = ms.Save(m)
-	}
 }
 
 // noteResident is the instances' residency hook: after any successful
@@ -269,7 +265,7 @@ func (s *Supervisor) Recover(eager bool) RecoveryReport {
 	manifests, skipped := ms.LoadAll()
 	rep.Skipped = skipped
 	for _, m := range manifests {
-		cfg, err := m.config()
+		cfg, err := m.Config()
 		if err != nil {
 			rep.Skipped = append(rep.Skipped, &ManifestError{
 				Path: ms.Path(m.Name), Reason: err.Error(), Err: ErrManifestCorrupt,
@@ -307,11 +303,16 @@ func (s *Supervisor) Get(name string) (*Instance, error) {
 	return inst, nil
 }
 
-// Run executes a supervised query on the named instance. Global
-// admission (the server-wide run cap) applies before the instance's own
+// Run executes a supervised query on the named instance. A query no
+// instance could run — an unknown engine, an invalid Spec — fails with an
+// error wrapping lcc.ErrInvalidSpec before admission, so it moves no
+// counter. Global admission (the server-wide run cap) applies before the instance's own
 // queue: a shed run never holds an instance slot, so per-instance
 // priority/FIFO ordering is unaffected by the cap.
 func (s *Supervisor) Run(ctx context.Context, name string, q Query) (*QueryResult, error) {
+	if _, err := q.resolve(0); err != nil {
+		return nil, err
+	}
 	inst, err := s.Get(name)
 	if err != nil {
 		return nil, err
