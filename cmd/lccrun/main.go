@@ -89,6 +89,9 @@ func run(args []string, out *os.File) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
+	if *ranks < 0 || *ranks > lcc.MaxRanks {
+		return fmt.Errorf("ranks %d outside [0, %d]", *ranks, lcc.MaxRanks)
+	}
 	partScheme, err := part.ParseScheme(*scheme)
 	if err != nil {
 		return err

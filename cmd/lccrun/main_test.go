@@ -20,9 +20,9 @@ func TestMain(m *testing.M) {
 }
 
 // TestUnknownNamesExit1: a misspelled method, scheme, engine or push
-// aggregation is an error with exit code 1, not a silent fallback to a
-// default. The dataset does not exist, so each name must be rejected
-// before the graph is read.
+// aggregation, or a worker or rank count out of bounds, is an error with
+// exit code 1, not a silent fallback to a default. The dataset does not
+// exist, so each must be rejected before the graph is read.
 func TestUnknownNamesExit1(t *testing.T) {
 	exe, err := os.Executable()
 	if err != nil {
@@ -32,6 +32,7 @@ func TestUnknownNamesExit1(t *testing.T) {
 		`unknown method "nosuch"`:    {"-dataset", "nosuch", "-method", "nosuch"},
 		`unknown scheme "nosuch"`:    {"-dataset", "nosuch", "-scheme", "nosuch"},
 		"workers -1 outside":         {"-dataset", "nosuch", "-workers", "-1"},
+		"ranks 4097 outside":         {"-dataset", "nosuch", "-ranks", "4097"},
 		`unknown engine "nosuch"`:    {"-dataset", "nosuch", "-engine", "nosuch"},
 		`unknown -push-agg "nosuch"`: {"-dataset", "nosuch", "-push-agg", "nosuch"},
 	} {

@@ -158,12 +158,12 @@
 //
 // The fetch pipeline completes the decoupling with a charge tape: every
 // simulated cost is a (kind, bytes) descriptor in one canonical per-rank
-// sequence, folded into the float clock at pinned points, which frees the
-// host side of a fetch — lookahead-k edge staging, precomputed resolve
-// tables, inline cache hits served as window views without materializing
-// a request, caller-owned value requests — to be flat straight-line code.
-// An op-for-op equivalence test replays every golden configuration under
-// deferred folding and diffs the full charge sequences (DESIGN.md §6).
+// sequence, each folded into the float clock at its canonical point,
+// which frees the host side of a fetch — lookahead-k edge staging,
+// precomputed resolve tables, inline cache hits served as window views
+// without materializing a request, caller-owned value requests — to be
+// flat straight-line code. Per-rank digests of every golden
+// configuration's observed charge sequence pin it op for op (DESIGN.md §6).
 //
 // A deterministic fault plane rides the same machinery: Options.Faults (or
 // lccrun -faults) installs a seeded schedule of transient RMA failures,

@@ -16,6 +16,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/disttc"
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -23,6 +24,7 @@ import (
 	"repro/internal/intersect"
 	"repro/internal/lcc"
 	"repro/internal/rma"
+	"repro/internal/tric"
 )
 
 // lccBits returns the float bit pattern of the score sum: a checksum that
@@ -61,11 +63,13 @@ type goldenRun struct {
 	sumT    int64  // closed-triplet sum
 }
 
-// goldenConfigs is the single source of the pinned values: the seven
-// engine configurations the individual TestGolden* tests assert and the
-// worker sweep replays. Each run function executes its engine at the
-// given worker count, performs any configuration-specific extra checks
-// (e.g. per-rank cache hit counts), and returns the comparable result.
+// goldenConfigs is the single source of the pinned values: the engine
+// configurations the worker sweep and the storage and fault lanes replay,
+// the RMA engines (each also asserted by its own TestGolden* test) plus
+// the two-sided (p2p) TriC and DistTC baselines. Each run function
+// executes its engine at the given worker count, performs any
+// configuration-specific extra checks (e.g. per-rank cache hit counts),
+// and returns the comparable result.
 var goldenConfigs = []struct {
 	name string
 	want goldenRun
@@ -171,6 +175,41 @@ var goldenConfigs = []struct {
 		want: goldenRun{0x4149df9a00000000, goldenLCCBits, goldenTriangles, -1},
 		run: func(t *testing.T, g graph.Store, workers int, faults *fault.Spec) goldenRun {
 			res, err := grid.Run(g, grid.Options{Ranks: 4, Workers: workers, Faults: faults})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return goldenRun{math.Float64bits(res.SimTime), lccBits(res.LCC), res.Triangles, -1}
+		},
+	},
+	{
+		name: "tric",
+		want: goldenRun{0x41aed6d3c1999998, goldenLCCBits, goldenTriangles, goldenSumT},
+		run: func(t *testing.T, g graph.Store, workers int, faults *fault.Spec) goldenRun {
+			res, err := tric.Run(g, tric.Options{Ranks: 4, Workers: workers, Faults: faults,
+				Method: intersect.MethodHybrid})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return goldenRun{math.Float64bits(res.SimTime), lccBits(res.LCC), res.Triangles, res.SumT}
+		},
+	},
+	{
+		name: "tric-buffered",
+		want: goldenRun{0x41b139f7ad4cccc5, goldenLCCBits, goldenTriangles, goldenSumT},
+		run: func(t *testing.T, g graph.Store, workers int, faults *fault.Spec) goldenRun {
+			res, err := tric.Run(g, tric.Options{Ranks: 4, Workers: workers, Faults: faults,
+				Buffered: true, BufferBytes: 4096})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return goldenRun{math.Float64bits(res.SimTime), lccBits(res.LCC), res.Triangles, res.SumT}
+		},
+	},
+	{
+		name: "disttc",
+		want: goldenRun{0x4136d4a5cccccccc, goldenLCCBits, goldenTriangles, -1},
+		run: func(t *testing.T, g graph.Store, workers int, faults *fault.Spec) goldenRun {
+			res, err := disttc.Run(g, disttc.Options{Ranks: 4, Workers: workers, Faults: faults})
 			if err != nil {
 				t.Fatal(err)
 			}

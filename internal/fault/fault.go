@@ -181,8 +181,7 @@ func (s Spec) withDefaults() Spec {
 
 // CrashError is the deterministic failure of a crash-stop without
 // recovery: rank Rank died at its Op-th remote one-sided operation. The
-// same spec produces the same error at any worker count and under either
-// charge-fold schedule.
+// same spec produces the same error at any worker count.
 type CrashError struct {
 	Rank int
 	Op   int // 1-based remote-op index, equals Spec.CrashAtOp
@@ -247,8 +246,7 @@ func splitmix64(x uint64) uint64 {
 
 // u returns a uniform draw in [0, 1) that is a pure function of
 // (seed, rank, channel, idx, sub) — no state beyond the counters that
-// produce idx, so decisions replay identically at any worker count and
-// under either charge-fold schedule.
+// produce idx, so decisions replay identically at any worker count.
 func (s *Sched) u(ch uint64, idx, sub uint64) float64 {
 	x := s.spec.Seed
 	x = splitmix64(x ^ (uint64(s.rank)+1)*0x9E3779B97F4A7C15)

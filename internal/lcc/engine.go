@@ -82,16 +82,9 @@ type Options struct {
 
 	// ChargeObserver, when set, observes every modeled charge of the run
 	// at its fold point, in canonical per-rank order (rma.ChargeObserver).
-	// Diagnostic surface: the charge-tape equivalence tests record and
-	// diff whole runs with it. Observers run on rank goroutines.
+	// Diagnostic surface: the charge-sequence pins hash whole runs with
+	// it (DESIGN.md §6). Observers run on rank goroutines.
 	ChargeObserver rma.ChargeObserver
-	// DeferredCharges queues every charge on the rank's tape and folds it
-	// at the next observation of simulated time instead of at its
-	// canonical point. Results are bit-identical either way (the
-	// charge-tape contract, DESIGN.md §6); the deferred mode is the
-	// verification schedule the equivalence tests diff against the
-	// default.
-	DeferredCharges bool
 
 	// Faults installs a deterministic fault schedule on the world
 	// (internal/fault): seeded transient RMA failures, latency spikes,
@@ -193,9 +186,6 @@ func (o Options) configureCharges(comm *rma.Comm) {
 	if o.ChargeObserver != nil {
 		comm.SetChargeObserver(o.ChargeObserver)
 	}
-	if o.DeferredCharges {
-		comm.SetDeferredCharges(true)
-	}
 	if o.Faults != nil {
 		comm.SetFaults(o.Faults)
 	}
@@ -257,7 +247,9 @@ func (o Options) withDefaults(n int) Options {
 	// the zero value meaningful (SSI) and do not override it here.
 	if o.Caching {
 		if o.OffsetsBuckets == 0 {
-			o.OffsetsBuckets = clampOne(o.OffsetsCacheBytes / 16)
+			// One entry per vertex is the most C_offsets can ever hold,
+			// so a byte budget past the graph must not size the table.
+			o.OffsetsBuckets = clampOne(min(o.OffsetsCacheBytes/16, n))
 		}
 		if o.AdjBuckets == 0 {
 			o.AdjBuckets = adjBuckets(n, o.AdjCacheBytes)

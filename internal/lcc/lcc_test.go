@@ -3,6 +3,7 @@ package lcc
 import (
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -386,5 +387,44 @@ func TestAvgRemoteReadTimeAndMissRates(t *testing.T) {
 	offR, adjR := res.CacheMissRates()
 	if offR <= 0 || offR > 1 || adjR <= 0 || adjR > 1 {
 		t.Errorf("miss rates out of range: off=%v adj=%v", offR, adjR)
+	}
+}
+
+// TestHugeCacheBytesBounded: cache byte budgets far past the graph must
+// not size per-rank tables past it. C_offsets holds at most one entry per
+// vertex, so its bucket count caps at n as C_adj's does, and read-only
+// windows cache views rather than bytes, so a huge capacity reserves
+// nothing. Every run must still return the golden triangle count.
+func TestHugeCacheBytesBounded(t *testing.T) {
+	g := gen.MustLoad("fb-sim")
+	n := g.NumVertices()
+	for _, c := range []struct {
+		name     string
+		off, adj int
+	}{
+		{"offsets=1GiB", 1 << 30, 1 << 16},
+		{"offsets=1TiB", 1 << 40, 1 << 16},
+		{"adj=1TiB", 1 << 14, 1 << 40},
+	} {
+		opt := Options{Ranks: 4, Method: intersect.MethodHybrid, DoubleBuffer: true,
+			Caching: true, OffsetsCacheBytes: c.off, AdjCacheBytes: c.adj}
+		// Check the sizing before running: an unbounded table would not
+		// fail cleanly, it would take the process down.
+		if d := opt.withDefaults(n); d.OffsetsBuckets > n || d.AdjBuckets > n {
+			t.Fatalf("%s: buckets offsets=%d adj=%d exceed n=%d", c.name, d.OffsetsBuckets, d.AdjBuckets, n)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		res, err := Run(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		if res.Triangles != 351349 {
+			t.Errorf("%s: Triangles = %d, want 351349", c.name, res.Triangles)
+		}
+		if mib := (m1.TotalAlloc - m0.TotalAlloc) >> 20; mib > 64 {
+			t.Errorf("%s: run allocated %d MiB, want at most 64", c.name, mib)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/part"
 	"repro/internal/rma"
@@ -101,15 +100,6 @@ func NewSnapshotOpts(g graph.Store, so SnapshotOptions) (*Snapshot, error) {
 	}
 	s.computeSums()
 	return s, nil
-}
-
-// LoadSnapshot is NewSnapshot over a named dataset from the registry.
-func LoadSnapshot(name string, ranks int, scheme part.Scheme, delegateBytes int) (*Snapshot, error) {
-	g, err := gen.Load(name)
-	if err != nil {
-		return nil, err
-	}
-	return NewSnapshot(g, ranks, scheme, delegateBytes)
 }
 
 // Graph returns the snapshot's source graph store.
